@@ -6,6 +6,10 @@ as well as decimals; fractions are parsed as rationals and converted to float
 once, so the central value 1/3 is represented faithfully. Reports are JSON
 (canonical) or CSV (sweep), with the schema documented in the README.
 
+The CLI declares each RunConfig field's flag, help and parser once (field
+metadata), each command's runner and fields once (``_COMMANDS``), and turns
+library objects into JSON through one hook (``_jsonable``).
+
 Exit codes: 0 success (an infeasible verdict is a successful answer),
 2 invalid configuration, 3 failed check (verify-uniqueness), 4 I/O error.
 """
@@ -14,13 +18,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,18 +35,12 @@ from .diet import diet_profile, fairness_residual
 from .election import to_election_report
 from .errors import CutChooseError
 from .simulate import GENERATOR_NAME, simulate
-from .solver import (
-    GridSearchConfig,
-    residual_system,
-    solve_chooser_given_cutter,
-    solve_joint,
-    verify_uniqueness,
-)
+from .solver import GridSearchConfig, solve_chooser_given_cutter, solve_joint, verify_uniqueness
 from .strategies import (
+    PREFERENCE_PAIRS,
     ChooserStrategy,
     CutterStrategy,
     PreferenceClass,
-    PreferenceRelation,
     TParams,
     classify_preferences,
     from_t_params,
@@ -52,6 +52,7 @@ from .strategies import (
 SEED_ENV_VAR = "CUT_CHOOSE_SEED"
 
 _NEAR_UNIFORM_WARN = 1e-9
+_SWEEP_ROW_BUDGET = 10**5
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,8 +64,41 @@ class ConfigInvalid(CutChooseError):
     """The run configuration cannot be executed."""
 
 
-class CheckFailed(CutChooseError):
-    """A verification command found a violation."""
+# Value parsers, shared by flags (always strings) and config files (also JSON
+# numbers and arrays). build_config turns their TypeError, ValueError and
+# ArithmeticError into ConfigInvalid.
+
+
+def _number(value: Any) -> float:
+    if isinstance(value, str) and "/" in value:
+        return float(Fraction(value))
+    return float(value)
+
+
+def _three(convert: Callable[[Any], Any], sep: str = ",") -> Callable[[Any], tuple]:
+    """Parser of three values: a sep-separated string or a JSON array."""
+
+    def parse(value: Any) -> tuple:
+        parts = value.split(sep) if isinstance(value, str) else list(value)
+        if len(parts) != 3:
+            raise ValueError(f"needs three {sep!r}-separated values")
+        return tuple(convert(x) for x in parts)
+
+    return parse
+
+
+def _integer(value: Any) -> int:
+    # Only JSON integers and integer strings: 10.7 must not run as 10.
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("must be an integer")
+    return int(value)
+
+
+def _option(
+    parse: Callable[[Any], Any], default: Any = None, flags: tuple[str, ...] = (), **kwargs: Any
+) -> Any:
+    """A RunConfig field set by config-file key or flag; kwargs go to add_argument."""
+    return field(default=default, metadata={"parse": parse, "flags": flags, "argparse": kwargs})
 
 
 @dataclass
@@ -72,50 +106,41 @@ class RunConfig:
     """One command invocation; field names mirror the CLI flags and config file keys."""
 
     command: str
-    cutter: tuple[float, float, float] | None = None
-    chooser: tuple[float, float, float] | None = None  # (c10, c01, c12)
-    t: tuple[float, float, float] | None = None
-    labels: tuple[str, str, str] | None = None
-    n_rounds: int | None = None
-    seed: int = 0
-    eps: float = 0.0
-    tolerance: float = 1e-9
-    tol: float = 1e-9
-    simplex_step: float = 1.0 / 24.0
-    t_step: float = 0.1
-    residual_tol: float = 1e-9
-    family_tol: float = 1e-9
-    t_range: tuple[float, float, float] | None = None
-    format: str | None = None
-    out: str | None = None
+    cutter: tuple[float, float, float] | None = _option(
+        _three(_number),
+        metavar="P0,P1,P2",
+        help="cutter rejection probabilities; fractions like 1/3 allowed",
+    )
+    chooser: tuple[float, float, float] | None = _option(  # (c10, c01, c12)
+        _three(_number),
+        metavar="C10,C01,C12",
+        help="chooser conditionals c[1|0],c[0|1],c[1|2] (complements derived)",
+    )
+    t: tuple[float, float, float] | None = _option(
+        _three(_number),
+        metavar="T0,T1,T2",
+        help="chooser t-parameters in [-1,1]; exclusive with --chooser",
+    )
+    labels: tuple[str, str, str] | None = _option(
+        _three(str), metavar="A,B,C", help="three distinct candidate labels"
+    )
+    n_rounds: int | None = _option(_integer, flags=("-n", "--rounds"), help="number of rounds")
+    seed: int = _option(_integer, 0, help=f"64-bit seed (default: ${SEED_ENV_VAR} or 0)")
+    eps: float = _option(_number, 0.0, help="tie tolerance in [0,1) (default 0)")
+    tolerance: float = _option(_number, 1e-9, help="fairness tolerance (default 1e-9)")
+    tol: float = _option(_number, 1e-9, help="allowed cutter distance from uniform (default 1e-9)")
+    simplex_step: float = _option(_number, 1.0 / 24.0, help="cutter grid spacing")
+    t_step: float = _option(_number, 0.1, help="t grid spacing per axis")
+    residual_tol: float = _option(_number, 1e-9, help="hit tolerance")
+    family_tol: float = _option(_number, 1e-9, help="distance-to-family tolerance")
+    t_range: tuple[float, float, float] | None = _option(
+        _three(_number, ":"), metavar="LO:HI:STEP", help="sweep grid"
+    )
+    format: str | None = _option(str, choices=("json", "csv"), help="report format")
+    out: str | None = _option(str, metavar="PATH", help="write the report to a file")
 
 
-def _parse_number(token: str) -> float:
-    text = str(token).strip()
-    try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigInvalid(f"cannot parse number {token!r}") from exc
-
-
-def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
-    parts = [p for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise ConfigInvalid(f"{what} needs three comma-separated values, got {text!r}")
-    a, b, c = (_parse_number(p) for p in parts)
-    return (a, b, c)
-
-
-def _parse_t_range(text: str) -> tuple[float, float, float]:
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ConfigInvalid(f"t range must look like lo:hi:step, got {text!r}")
-    lo, hi, step = (_parse_number(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ConfigInvalid(f"t range must satisfy lo <= hi and step > 0, got {text!r}")
-    return (lo, hi, step)
+_OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 
 
 def _build_cutter(config: RunConfig) -> CutterStrategy:
@@ -144,128 +169,98 @@ def _build_chooser(config: RunConfig) -> ChooserStrategy:
     return from_t_params(TParams(*config.t))  # type: ignore[misc]
 
 
-def _relation_dict(relation: PreferenceRelation) -> dict[str, Any]:
-    return {
-        "eps": relation.eps,
-        "verdicts": [
-            {
-                "pair": [a, b],
-                "verdict": relation.verdicts[i].value,
-                "winner": relation.winner(i),
-            }
-            for i, (a, b) in enumerate(((0, 1), (1, 2), (0, 2)))
-        ],
-    }
-
-
-def _class_dict(preference_class: PreferenceClass) -> dict[str, Any]:
-    return {
-        "kind": preference_class.kind.value,
-        "order": list(preference_class.order) if preference_class.order else None,
-    }
-
-
 def _class_label(preference_class: PreferenceClass) -> str:
     if preference_class.order is not None:
-        return preference_class.kind.value + ":" + ">".join(
-            str(f) for f in preference_class.order
-        )
+        return preference_class.kind.value + ":" + ">".join(map(str, preference_class.order))
     return preference_class.kind.value
 
 
-def _chooser_dict(chooser: ChooserStrategy) -> dict[str, float]:
-    return {f"c{k}{j}": v for (k, j), v in sorted(chooser.as_table().items())}
+def _jsonable(value: Any) -> Any:
+    """``json.dumps`` hook: the report form of a library object."""
+    if isinstance(value, CutterStrategy):
+        return value.p
+    if isinstance(value, TParams):
+        return value.t
+    if isinstance(value, enum.Enum):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _run_diet(config: RunConfig) -> tuple[int, dict[str, Any]]:
-    cutter = _build_cutter(config)
-    chooser = _build_chooser(config)
-    profile = diet_profile(cutter, chooser)
+# Runners return (exit status, results); results may hold library objects.
+
+
+def _run_diet(config: RunConfig) -> tuple[int, Any]:
+    profile = diet_profile(_build_cutter(config), _build_chooser(config))
     report = fairness_residual(profile, config.tolerance)
-    return EXIT_OK, {
-        "lambda": list(profile.lam),
-        "omega": list(profile.omega),
-        "lambda_residuals": list(report.lambda_residuals),
-        "omega_residuals": list(report.omega_residuals),
-        "max_abs_residual": report.max_abs_residual,
-        "tolerance": report.tolerance,
-        "is_fair": report.is_fair,
-    }
+    return EXIT_OK, {"lambda": profile.lam, "omega": profile.omega, **_jsonable(report)}
 
 
-def _run_classify(config: RunConfig) -> tuple[int, dict[str, Any]]:
+def _run_classify(config: RunConfig) -> tuple[int, Any]:
     chooser = _build_chooser(config)
     relation, preference_class = classify_preferences(chooser, config.eps)
+    verdicts = [
+        {"pair": pair, "verdict": verdict, "winner": relation.winner(i)}
+        for i, (pair, verdict) in enumerate(zip(PREFERENCE_PAIRS, relation.verdicts))
+    ]
     return EXIT_OK, {
-        "chooser": _chooser_dict(chooser),
-        "relation": _relation_dict(relation),
-        "classification": _class_dict(preference_class),
+        "chooser": dict(sorted(_jsonable(chooser).items())),  # c01, c02, c10, ...
+        "relation": {"eps": relation.eps, "verdicts": verdicts},
+        "classification": preference_class,
     }
 
 
-def _run_solve(config: RunConfig) -> tuple[int, dict[str, Any]]:
+def _run_solve(config: RunConfig) -> tuple[int, Any]:
     family = solve_joint()
-    worst = max(
-        residual_system(family.cutter, TParams(t, t, t)).max_abs
-        for t in np.linspace(-1.0, 1.0, 21)
-    )
-    return EXIT_OK, {
-        "cutter": list(family.cutter.p),
-        "t_range": list(family.t_range),
-        "description": family.description,
-        "self_check": {"n_samples": 21, "max_abs_residual": worst},
-    }
+    return EXIT_OK, {**_jsonable(family), "self_check": family.self_check()}
 
 
-def _run_feasible(config: RunConfig) -> tuple[int, dict[str, Any]]:
-    cutter = _build_cutter(config)
-    result = solve_chooser_given_cutter(cutter, config.tol)
-    payload: dict[str, Any] = {"feasible": result.feasible, "tol": config.tol}
-    if result.feasible:
-        assert result.family is not None
-        payload["family"] = {
-            "cutter": list(result.family.cutter.p),
-            "t_range": list(result.family.t_range),
-            "description": result.family.description,
-        }
-    else:
-        payload["certificate"] = result.certificate
-        payload["witness_food"] = result.witness_food
-        payload["witness_pair_sum"] = result.witness_pair_sum
-    return EXIT_OK, payload
+def _run_feasible(config: RunConfig) -> tuple[int, Any]:
+    result = solve_chooser_given_cutter(_build_cutter(config), config.tol)
+    # Either the family or the certificate fields are set; the rest are None.
+    answer = {k: v for k, v in _jsonable(result).items() if k != "feasible" and v is not None}
+    return EXIT_OK, {"feasible": result.feasible, "tol": config.tol, **answer}
 
 
-def _run_simulate(config: RunConfig) -> tuple[int, dict[str, Any]]:
+_SIMULATE_KEYS = (
+    "n_rounds",
+    "seed",
+    "generator",
+    "counts_lambda",
+    "counts_omega",
+    "counts_rejected",
+    "empirical_lambda",
+    "empirical_omega",
+)
+
+
+def _run_simulate(config: RunConfig) -> tuple[int, Any]:
     cutter = _build_cutter(config)
     chooser = _build_chooser(config)
     if config.n_rounds is None:
         raise ConfigInvalid("command 'simulate' requires --rounds")
     result = simulate(cutter, chooser, config.n_rounds, config.seed)
-    return EXIT_OK, {
-        "n_rounds": result.n_rounds,
-        "seed": result.seed,
-        "generator": result.generator,
-        "counts_lambda": list(result.counts_lambda),
-        "counts_omega": list(result.counts_omega),
-        "counts_rejected": list(result.counts_rejected),
-        "empirical_lambda": list(result.empirical_lambda),
-        "empirical_omega": list(result.empirical_omega),
-    }
+    return EXIT_OK, {key: getattr(result, key) for key in _SIMULATE_KEYS}
 
 
 def _sweep_values(config: RunConfig) -> list[float]:
     if config.t_range is None:
         raise ConfigInvalid("command 'sweep' requires --t-range lo:hi:step")
     lo, hi, step = config.t_range
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    values = [lo + i * step for i in range(count)]
-    return [min(max(v, -1.0), 1.0) for v in values]
+    if not (step > 0 and -1.0 <= lo <= hi <= 1.0):
+        raise ConfigInvalid(
+            f"t range must satisfy -1 <= lo <= hi <= 1 and step > 0, got {lo}:{hi}:{step}"
+        )
+    steps = (hi - lo) / step + 1e-9
+    if steps >= _SWEEP_ROW_BUDGET:  # floor(steps) + 1 rows
+        raise ConfigInvalid(f"t range exceeds the {_SWEEP_ROW_BUDGET}-row budget")
+    # With lo and hi in [-1, 1] the clamp only absorbs rounding past an end.
+    return [min(max(lo + i * step, -1.0), 1.0) for i in range(math.floor(steps) + 1)]
 
 
-def _sweep_rows(config: RunConfig) -> list[dict[str, Any]]:
-    cutter = make_cutter(*config.cutter) if config.cutter else make_cutter(
-        1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0
-    )
+def _run_sweep(config: RunConfig) -> tuple[int, Any]:
+    cutter = make_cutter(*(config.cutter or (1.0 / 3.0,) * 3))
     rows = []
     for t in _sweep_values(config):
         chooser = symmetric_chooser(t)
@@ -275,11 +270,11 @@ def _sweep_rows(config: RunConfig) -> list[dict[str, Any]]:
             {
                 "t": t,
                 "preference_class": _class_label(preference_class),
-                "lambda_residuals": list(report.lambda_residuals),
-                "omega_residuals": list(report.omega_residuals),
+                "lambda_residuals": report.lambda_residuals,
+                "omega_residuals": report.omega_residuals,
             }
         )
-    return rows
+    return EXIT_OK, {"rows": rows}
 
 
 SWEEP_CSV_COLUMNS = [
@@ -298,96 +293,75 @@ def _sweep_csv(rows: list[dict[str, Any]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [f"{row['t']:.17g}", row["preference_class"]]
-            + [f"{x:.17g}" for x in row["lambda_residuals"]]
-            + [f"{x:.17g}" for x in row["omega_residuals"]]
-        )
+    writer.writerows(
+        [f"{row['t']:.17g}", row["preference_class"]]
+        + [f"{x:.17g}" for x in row["lambda_residuals"] + row["omega_residuals"]]
+        for row in rows
+    )
     return buffer.getvalue()
 
 
-def _run_verify_uniqueness(config: RunConfig) -> tuple[int, dict[str, Any]]:
-    grid = GridSearchConfig(
-        simplex_step=config.simplex_step,
-        t_step=config.t_step,
-        residual_tol=config.residual_tol,
-    )
+def _run_verify_uniqueness(config: RunConfig) -> tuple[int, Any]:
+    grid = GridSearchConfig(config.simplex_step, config.t_step, config.residual_tol)
     report = verify_uniqueness(grid, config.family_tol)
-    worst = None
-    if report.worst_offender is not None:
-        worst = {
-            "cutter": list(report.worst_offender.cutter.p),
-            "t": list(report.worst_offender.t_params.t),
-            "max_abs_residual": report.worst_offender.max_abs_residual,
-        }
-    payload = {
-        "passed": report.passed,
-        "no_hits": report.no_hits,
-        "n_hits": report.n_hits,
-        "n_offenders": report.n_offenders,
-        "worst_distance": report.worst_distance,
-        "worst_offender": worst,
-        "family_tol": report.family_tol,
-        "grid": {
-            "simplex_step": grid.simplex_step,
-            "t_step": grid.t_step,
-            "residual_tol": grid.residual_tol,
-        },
-    }
-    return (EXIT_OK if report.passed else EXIT_CHECK), payload
+    hit = report.worst_offender
+    # Reported under the key "t", not GridHit's field name t_params.
+    worst = hit and dict(cutter=hit.cutter, t=hit.t_params, max_abs_residual=hit.max_abs_residual)
+    results = {**_jsonable(report), "worst_offender": worst, "grid": grid}
+    return (EXIT_OK if report.passed else EXIT_CHECK), results
 
 
-def _run_election(config: RunConfig) -> tuple[int, dict[str, Any]]:
+def _run_election(config: RunConfig) -> tuple[int, Any]:
     cutter = _build_cutter(config)
     chooser = _build_chooser(config)
     labels = config.labels if config.labels is not None else ("A", "B", "C")
-    report = to_election_report(cutter, chooser, labels)
-    return EXIT_OK, {
-        "labels": list(report.labels),
-        "phase1_elimination_dist": list(report.phase1_elimination_dist),
-        "phase2_winner_dist": list(report.phase2_winner_dist),
-        "phase2_loser_dist": list(report.phase2_loser_dist),
-        "preference_class": _class_dict(report.preference_class),
-    }
+    return EXIT_OK, to_election_report(cutter, chooser, labels)
 
 
-_RUNNERS = {
-    "diet": _run_diet,
-    "classify": _run_classify,
-    "solve": _run_solve,
-    "feasible": _run_feasible,
-    "simulate": _run_simulate,
-    "verify-uniqueness": _run_verify_uniqueness,
-    "election": _run_election,
+class _Command(NamedTuple):
+    runner: Callable[[RunConfig], tuple[int, Any]]
+    help: str
+    fields: tuple[str, ...]  # RunConfig fields it reads: its flags and its "inputs"
+
+
+_COMMANDS = {
+    "diet": _Command(
+        _run_diet,
+        "exact diet frequencies and fairness residuals",
+        ("cutter", "chooser", "t", "tolerance"),
+    ),
+    "classify": _Command(
+        _run_classify, "preference relation and cycle classification", ("chooser", "t", "eps")
+    ),
+    "solve": _Command(_run_solve, "closed-form joint fairness solution family", ()),
+    "feasible": _Command(
+        _run_feasible, "fairness feasibility for a fixed cutter", ("cutter", "tol")
+    ),
+    "simulate": _Command(
+        _run_simulate, "seeded Monte Carlo play", ("cutter", "chooser", "t", "n_rounds", "seed")
+    ),
+    "sweep": _Command(
+        _run_sweep,
+        "sweep the symmetric chooser family over t",
+        ("cutter", "t_range", "eps", "tolerance"),
+    ),
+    "verify-uniqueness": _Command(
+        _run_verify_uniqueness,
+        "brute-force check that only the family is fair",
+        ("simplex_step", "t_step", "residual_tol", "family_tol"),
+    ),
+    "election": _Command(
+        _run_election,
+        "two-phase election view of a strategy pair",
+        ("cutter", "chooser", "t", "labels"),
+    ),
 }
-
-
-_RELEVANT_FIELDS = {
-    "diet": ("cutter", "chooser", "t", "tolerance"),
-    "classify": ("chooser", "t", "eps"),
-    "solve": (),
-    "feasible": ("cutter", "tol"),
-    "simulate": ("cutter", "chooser", "t", "n_rounds", "seed"),
-    "sweep": ("cutter", "t_range", "eps", "tolerance"),
-    "verify-uniqueness": ("simplex_step", "t_step", "residual_tol", "family_tol"),
-    "election": ("cutter", "chooser", "t", "labels"),
-}
-
-
-def _inputs_dict(config: RunConfig) -> dict[str, Any]:
-    payload = {}
-    for name in _RELEVANT_FIELDS.get(config.command, ()):
-        value = getattr(config, name)
-        if value is None:
-            continue
-        payload[name] = list(value) if isinstance(value, tuple) else value
-    return payload
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command and return (exit status, serialized report)."""
-    if config.command not in _RUNNERS and config.command != "sweep":
+    command = _COMMANDS.get(config.command)
+    if command is None:
         raise ConfigInvalid(f"unknown command {config.command!r}")
     fmt = config.format or ("csv" if config.command == "sweep" else "json")
     if fmt not in ("json", "csv"):
@@ -396,55 +370,30 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise ConfigInvalid("csv output is only available for the sweep command")
 
     try:
-        if config.command == "sweep":
-            rows = _sweep_rows(config)
-            if fmt == "csv":
-                return EXIT_OK, _sweep_csv(rows)
-            status, results = EXIT_OK, {"rows": rows}
-        else:
-            status, results = _RUNNERS[config.command](config)
+        status, results = command.runner(config)
     except ConfigInvalid:
         raise
     except CutChooseError as exc:
         raise ConfigInvalid(str(exc)) from exc
+    if fmt == "csv":
+        return status, _sweep_csv(results["rows"])
 
     report = {
         "command": config.command,
-        "inputs": _inputs_dict(config),
+        "inputs": {k: v for k in command.fields if (v := getattr(config, k)) is not None},
         "results": results,
         "versions": {
             "artifact": __version__,
             "generator": f"{GENERATOR_NAME} (numpy {np.__version__})",
         },
     }
-    return status, json.dumps(report, indent=2) + "\n"
+    return status, json.dumps(report, indent=2, default=_jsonable) + "\n"
 
 
-def _add_cutter_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cutter",
-        metavar="P0,P1,P2",
-        help="cutter rejection probabilities; fractions like 1/3 allowed",
-    )
-
-
-def _add_chooser_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--chooser",
-        metavar="C10,C01,C12",
-        help="chooser conditionals c[1|0],c[0|1],c[1|2] (complements derived)",
-    )
-    parser.add_argument(
-        "--t",
-        metavar="T0,T1,T2",
-        help="chooser t-parameters in [-1,1]; exclusive with --chooser",
-    )
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON file with RunConfig fields")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format")
-    parser.add_argument("--out", metavar="PATH", help="write the report to a file")
+def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
+    option = _OPTIONS[name]
+    flags = option["flags"] or ("--" + name.replace("_", "-"),)
+    parser.add_argument(*flags, dest=name, **option["argparse"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,103 +403,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diet", help="exact diet frequencies and fairness residuals")
-    _add_cutter_flag(p)
-    _add_chooser_flags(p)
-    p.add_argument("--tolerance", help="fairness tolerance (default 1e-9)")
-    _add_common_flags(p)
-
-    p = sub.add_parser("classify", help="preference relation and cycle classification")
-    _add_chooser_flags(p)
-    p.add_argument("--eps", help="tie tolerance in [0,1) (default 0)")
-    _add_common_flags(p)
-
-    p = sub.add_parser("solve", help="closed-form joint fairness solution family")
-    _add_common_flags(p)
-
-    p = sub.add_parser("feasible", help="fairness feasibility for a fixed cutter")
-    _add_cutter_flag(p)
-    p.add_argument("--tol", help="allowed cutter distance from uniform (default 1e-9)")
-    _add_common_flags(p)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo play")
-    _add_cutter_flag(p)
-    _add_chooser_flags(p)
-    p.add_argument("-n", "--rounds", dest="n_rounds", help="number of rounds")
-    p.add_argument("--seed", help=f"64-bit seed (default: ${SEED_ENV_VAR} or 0)")
-    _add_common_flags(p)
-
-    p = sub.add_parser("sweep", help="sweep the symmetric chooser family over t")
-    _add_cutter_flag(p)
-    p.add_argument("--t-range", dest="t_range", metavar="LO:HI:STEP", help="sweep grid")
-    p.add_argument("--eps", help="tie tolerance for classification (default 0)")
-    p.add_argument("--tolerance", help="fairness tolerance (default 1e-9)")
-    _add_common_flags(p)
-
-    p = sub.add_parser(
-        "verify-uniqueness", help="brute-force check that only the family is fair"
-    )
-    p.add_argument("--simplex-step", dest="simplex_step", help="cutter grid spacing")
-    p.add_argument("--t-step", dest="t_step", help="t grid spacing per axis")
-    p.add_argument("--residual-tol", dest="residual_tol", help="hit tolerance")
-    p.add_argument("--family-tol", dest="family_tol", help="distance-to-family tolerance")
-    _add_common_flags(p)
-
-    p = sub.add_parser("election", help="two-phase election view of a strategy pair")
-    _add_cutter_flag(p)
-    _add_chooser_flags(p)
-    p.add_argument("--labels", metavar="A,B,C", help="three distinct candidate labels")
-    _add_common_flags(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.fields:
+            _add_flag(p, key)
+        p.add_argument("--config", metavar="PATH", help="JSON file with RunConfig fields")
+        _add_flag(p, "format")
+        _add_flag(p, "out")
     return parser
-
-
-_TRIPLE_FIELDS = {"cutter", "chooser", "t"}
-_NUMBER_FIELDS = {
-    "eps",
-    "tolerance",
-    "tol",
-    "simplex_step",
-    "t_step",
-    "residual_tol",
-    "family_tol",
-}
-
-
-def _coerce_field(name: str, value: Any) -> Any:
-    if value is None:
-        return None
-    if name in _TRIPLE_FIELDS:
-        if isinstance(value, str):
-            return _parse_triple(value, name)
-        triple = tuple(float(x) for x in value)
-        if len(triple) != 3:
-            raise ConfigInvalid(f"{name} needs three values, got {value!r}")
-        return triple
-    if name == "t_range":
-        if isinstance(value, str):
-            return _parse_t_range(value)
-        lo, hi, step = (float(x) for x in value)
-        return (lo, hi, step)
-    if name == "labels":
-        parts = value.split(",") if isinstance(value, str) else list(value)
-        if len(parts) != 3:
-            raise ConfigInvalid(f"labels need three values, got {value!r}")
-        return tuple(str(x) for x in parts)
-    if name in _NUMBER_FIELDS:
-        return _parse_number(value) if isinstance(value, str) else float(value)
-    if name == "n_rounds":
-        try:
-            return int(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"n_rounds must be an integer, got {value!r}") from exc
-    if name == "seed":
-        try:
-            return int(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"seed must be an integer, got {value!r}") from exc
-    return value
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
@@ -563,8 +423,7 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigInvalid(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid(f"config file {path!r} must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
     return data
@@ -572,32 +431,28 @@ def _load_config_file(path: str) -> dict[str, Any]:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags, config file, environment, and defaults into a RunConfig."""
-    file_values: dict[str, Any] = {}
+    values: dict[str, Any] = {}
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        if "command" in file_values and file_values["command"] != args.command:
+        values = _load_config_file(args.config)
+        named = values.pop("command", args.command)
+        if named != args.command:
             raise ConfigInvalid(
-                f"config file names command {file_values['command']!r} but "
-                f"{args.command!r} was invoked"
+                f"config file names command {named!r} but {args.command!r} was invoked"
             )
-        file_values.pop("command", None)
-
-    merged: dict[str, Any] = dict(file_values)
     # The env var stands in for an absent --seed flag, beating config files.
     if getattr(args, "seed", None) is None and os.environ.get(SEED_ENV_VAR):
-        merged["seed"] = os.environ[SEED_ENV_VAR]
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        merged[key] = value
+        values["seed"] = os.environ[SEED_ENV_VAR]
+    values.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
 
-    config_kwargs: dict[str, Any] = {"command": args.command}
-    known = {f.name for f in fields(RunConfig)}
-    for key, value in merged.items():
-        if key not in known:
-            raise ConfigInvalid(f"unknown config field {key!r}")
-        config_kwargs[key] = _coerce_field(key, value)
-    return RunConfig(**config_kwargs)
+    parsed: dict[str, Any] = {}
+    for key, value in values.items():
+        if value is None:  # a JSON null leaves the default
+            continue
+        try:
+            parsed[key] = _OPTIONS[key]["parse"](value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ConfigInvalid(f"invalid {key} {value!r}: {exc}") from exc
+    return RunConfig(args.command, **parsed)
 
 
 # Flags whose values may start with a minus sign; argparse would otherwise
@@ -606,17 +461,12 @@ _MERGE_FLAGS = ("--t-range", "--t")
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
-    merged = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if token in _MERGE_FLAGS and nxt is not None and nxt.startswith("-"):
-            merged.append(f"{token}={nxt}")
-            i += 2
+    merged: list[str] = []
+    for token in argv:
+        if merged and merged[-1] in _MERGE_FLAGS and token.startswith("-"):
+            merged[-1] += "=" + token
         else:
             merged.append(token)
-            i += 1
     return merged
 
 
@@ -629,9 +479,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CheckFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
 
     try:
         if config.out:

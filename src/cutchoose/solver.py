@@ -88,6 +88,14 @@ def residual_system(cutter: CutterStrategy, t: TParams) -> ResidualVector:
 
 
 @dataclass(frozen=True)
+class SelfCheck:
+    """Largest residual max-norm found over equispaced members of a family."""
+
+    n_samples: int
+    max_abs_residual: float
+
+
+@dataclass(frozen=True)
 class SolutionFamily:
     """The uniform cutter plus the one-parameter symmetric chooser family."""
 
@@ -101,6 +109,14 @@ class SolutionFamily:
         if not (lo <= float(t) <= hi):
             raise OutOfRange(f"t must lie in [{lo}, {hi}], got {t!r}")
         return symmetric_chooser(t)
+
+    def self_check(self) -> SelfCheck:
+        """Evaluate the residual system at equispaced members across t_range."""
+        worst = max(
+            residual_system(self.cutter, TParams(t, t, t)).max_abs
+            for t in np.linspace(*self.t_range, _SELF_CHECK_SAMPLES)
+        )
+        return SelfCheck(_SELF_CHECK_SAMPLES, worst)
 
 
 def _canonical_family() -> SolutionFamily:
@@ -122,13 +138,11 @@ def solve_joint() -> SolutionFamily:
     equispaced family members before returning.
     """
     family = _canonical_family()
-    for t in np.linspace(-1.0, 1.0, _SELF_CHECK_SAMPLES):
-        r = residual_system(family.cutter, TParams(t, t, t))
-        if r.max_abs > _SELF_CHECK_TOL:
-            raise RuntimeError(
-                f"closed-form family failed self-check at t={t}: "
-                f"max residual {r.max_abs}"
-            )
+    check = family.self_check()
+    if check.max_abs_residual > _SELF_CHECK_TOL:
+        raise RuntimeError(
+            f"closed-form family failed self-check: max residual {check.max_abs_residual}"
+        )
     return family
 
 

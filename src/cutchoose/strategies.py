@@ -38,7 +38,7 @@ permuted strategy is bit-for-bit the relabeled original.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,7 +93,6 @@ class CutterStrategy:
     p0: float
     p1: float
     p2: float
-    _trusted: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("p0", self.p0), ("p1", self.p1), ("p2", self.p2)):
@@ -109,12 +108,10 @@ class CutterStrategy:
                 f"rejection probabilities must sum to 1 within {_SUM_TOLERANCE}, "
                 f"got sum {total!r}"
             )
-        if not self._trusted:
-            q0, q1, q2 = _exact_simplex(self.p0, self.p1, self.p2)
-            object.__setattr__(self, "p0", q0)
-            object.__setattr__(self, "p1", q1)
-            object.__setattr__(self, "p2", q2)
-        object.__setattr__(self, "_trusted", False)
+        q0, q1, q2 = _exact_simplex(self.p0, self.p1, self.p2)
+        object.__setattr__(self, "p0", q0)
+        object.__setattr__(self, "p1", q1)
+        object.__setattr__(self, "p2", q2)
 
     @property
     def p(self) -> tuple[float, float, float]:
@@ -378,9 +375,12 @@ def permute_foods(
     new_p = [0.0, 0.0, 0.0]
     for i in FOODS:
         new_p[sigma[i]] = cutter.p[i]
-    # Bypass renormalization: an exact sum is order-dependent at ulp level,
-    # and the relabeling contract is bitwise.
-    new_cutter = CutterStrategy(new_p[0], new_p[1], new_p[2], _trusted=True)
+    # Bypass __post_init__: its exact-sum repair is order-dependent at ulp
+    # level, the relabeling contract is bitwise, and a relabeled valid cutter
+    # is valid.
+    new_cutter = object.__new__(CutterStrategy)
+    for name, value in zip(("p0", "p1", "p2"), new_p):
+        object.__setattr__(new_cutter, name, value)
 
     table = chooser.as_table()
     new_table = {(sigma[k], sigma[j]): v for (k, j), v in table.items()}

@@ -7,7 +7,7 @@ import sys
 
 
 import cutchoose as cc
-from cutchoose.cli import SWEEP_CSV_COLUMNS, RunConfig, run
+from cutchoose.cli import SEED_ENV_VAR, SWEEP_CSV_COLUMNS, RunConfig, main, run
 
 THIRD = 1.0 / 3.0
 
@@ -202,6 +202,11 @@ class TestSweepCommand:
         assert invoke("sweep", "--t-range", "1:-1:0.1").returncode == 2
         assert invoke("sweep", "--t-range", "0:1:0").returncode == 2
         assert invoke("sweep").returncode == 2
+        # Ends outside [-1, 1] used to be clamped into duplicate rows.
+        assert invoke("sweep", "--t-range", "-2:2:0.5").returncode == 2
+        assert invoke("sweep", "--t-range", "-1:1.5:0.5").returncode == 2
+        # 100,001 rows: one over the row budget.
+        assert invoke("sweep", "--t-range", "-1:1:0.00002").returncode == 2
 
     def test_csv_only_for_sweep(self):
         proc = invoke("diet", "--cutter", "1/3,1/3,1/3", "--t", "0,0,0",
@@ -284,6 +289,15 @@ class TestConfigFile:
         ))
         report = invoke_json("election", "--config", str(path))
         assert report["results"]["labels"] == ["X", "Y", "Z"]
+
+    def test_non_integer_counts_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        path = tmp_path / "run.json"
+        base = {"cutter": "1/3,1/3,1/3", "t": "0,0,0", "n_rounds": 10, "seed": 3}
+        for bad in ({"n_rounds": 10.7}, {"seed": 3.9}, {"n_rounds": 10.0},
+                    {"seed": True}, {"n_rounds": "10.5"}):
+            path.write_text(json.dumps({**base, **bad}))
+            assert main(["simulate", "--config", str(path)]) == 2, bad
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "run.json"

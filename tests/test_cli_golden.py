@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +68,6 @@ def test_golden_report(case, tmp_path, seed_env):
 
 
 def record() -> None:
-    import tempfile
-
     for case in CASES:
         os.environ.pop(cli.SEED_ENV_VAR, None)
         if "env_seed" in case:

@@ -1,5 +1,6 @@
 """Constructor contracts, coordinate round trips, classification, relabeling."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -318,6 +319,8 @@ class TestPermuteFoods:
                 new_table = new_ch.as_table()
                 for (k, j), value in table.items():
                     assert new_table[(perm[k], perm[j])] == value
+        # A relabeled cutter is the plain simplex point, with no extra field.
+        assert [f.name for f in dataclasses.fields(new_cut)] == ["p0", "p1", "p2"]
 
     def test_classification_equivariance(self, rng):
         """Even relabelings keep the cycle direction; odd ones flip it."""
