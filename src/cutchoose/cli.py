@@ -8,7 +8,9 @@ once, so the central value 1/3 is represented faithfully. Reports are JSON
 
 The CLI declares each RunConfig field's flag, help and parser once (field
 metadata), each command's runner and fields once (``_COMMANDS``), and turns
-library objects into JSON through one hook (``_jsonable``).
+library objects into JSON through one hook (``_jsonable``). The argument
+parser is built once per process, and numpy is imported only by the commands
+that compute with arrays (simulate, verify-uniqueness).
 
 Exit codes: 0 success (an infeasible verdict is a successful answer),
 2 invalid configuration, 3 failed check (verify-uniqueness), 4 I/O error.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import functools
 import io
 import json
 import math
@@ -27,8 +30,6 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from . import __version__
 from .diet import diet_profile, fairness_residual
@@ -73,6 +74,25 @@ def _number(value: Any) -> float:
     if isinstance(value, str) and "/" in value:
         return float(Fraction(value))
     return float(value)
+
+
+class _Spelled(float):
+    """A parsed number that keeps the exact rational it was written as."""
+
+    __slots__ = ("exact",)
+
+    def __new__(cls, value: Any) -> _Spelled:
+        number = super().__new__(cls, _number(value))
+        number.exact = _rational(value)
+        return number
+
+
+def _rational(value: Any) -> Fraction:
+    """The rational a number was written as, not its binary value: text as
+    spelled (decimal or a/b), a float by its shortest repr, an int as is."""
+    if isinstance(value, _Spelled):
+        return value.exact
+    return Fraction(repr(value) if isinstance(value, float) else value)
 
 
 def _three(convert: Callable[[Any], Any], sep: str = ",") -> Callable[[Any], tuple]:
@@ -134,7 +154,7 @@ class RunConfig:
     residual_tol: float = _option(_number, 1e-9, help="hit tolerance")
     family_tol: float = _option(_number, 1e-9, help="distance-to-family tolerance")
     t_range: tuple[float, float, float] | None = _option(
-        _three(_number, ":"), metavar="LO:HI:STEP", help="sweep grid"
+        _three(_Spelled, ":"), metavar="LO:HI:STEP", help="sweep grid"
     )
     format: str | None = _option(str, choices=("json", "csv"), help="report format")
     out: str | None = _option(str, metavar="PATH", help="write the report to a file")
@@ -248,15 +268,21 @@ def _sweep_values(config: RunConfig) -> list[float]:
     if config.t_range is None:
         raise ConfigInvalid("command 'sweep' requires --t-range lo:hi:step")
     lo, hi, step = config.t_range
-    if not (step > 0 and -1.0 <= lo <= hi <= 1.0):
+    # Rows are counted over the rationals as written, not over their floats:
+    # 0:0.3:0.1 has 4 rows and 0:0.29999999995:0.1 has 3, although both float
+    # quotients lie just below 3. Only finite, ordered floats reach the count.
+    rows = 0
+    if 0 < step < math.inf and -1.0 <= lo <= hi <= 1.0:
+        first, last, spacing = map(_rational, config.t_range)
+        rows = math.floor((last - first) / spacing) + 1
+    if rows < 1:
         raise ConfigInvalid(
             f"t range must satisfy -1 <= lo <= hi <= 1 and step > 0, got {lo}:{hi}:{step}"
         )
-    steps = (hi - lo) / step + 1e-9
-    if steps >= _SWEEP_ROW_BUDGET:  # floor(steps) + 1 rows
+    if rows > _SWEEP_ROW_BUDGET:
         raise ConfigInvalid(f"t range exceeds the {_SWEEP_ROW_BUDGET}-row budget")
     # With lo and hi in [-1, 1] the clamp only absorbs rounding past an end.
-    return [min(max(lo + i * step, -1.0), 1.0) for i in range(math.floor(steps) + 1)]
+    return [min(max(lo + i * step, -1.0), 1.0) for i in range(rows)]
 
 
 def _run_sweep(config: RunConfig) -> tuple[int, Any]:
@@ -358,6 +384,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _numpy_version() -> str:
+    """numpy's version, read without importing numpy when it is not loaded yet."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return numpy.__version__
+    from importlib.metadata import version  # on first use: it pulls in email, zipfile and more
+
+    return version("numpy")
+
+
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command and return (exit status, serialized report)."""
     command = _COMMANDS.get(config.command)
@@ -384,7 +421,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         "results": results,
         "versions": {
             "artifact": __version__,
-            "generator": f"{GENERATOR_NAME} (numpy {np.__version__})",
+            "generator": f"{GENERATOR_NAME} (numpy {_numpy_version()})",
         },
     }
     return status, json.dumps(report, indent=2, default=_jsonable) + "\n"
@@ -396,6 +433,7 @@ def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
     parser.add_argument(*flags, dest=name, **option["argparse"])
 
 
+@functools.cache  # parse_args keeps no state between calls, so one parser serves all
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cutchoose",
@@ -423,14 +461,12 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigInvalid(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid(f"config file {path!r} must hold a JSON object")
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
     return data
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags, config file, environment, and defaults into a RunConfig."""
+    reads = _COMMANDS[args.command].fields
     values: dict[str, Any] = {}
     if getattr(args, "config", None):
         values = _load_config_file(args.config)
@@ -439,8 +475,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigInvalid(
                 f"config file names command {named!r} but {args.command!r} was invoked"
             )
+        unknown = set(values) - {*reads, "format", "out"}
+        if unknown:
+            raise ConfigInvalid(f"unknown config fields for {args.command!r}: {sorted(unknown)}")
     # The env var stands in for an absent --seed flag, beating config files.
-    if getattr(args, "seed", None) is None and os.environ.get(SEED_ENV_VAR):
+    if "seed" in reads and getattr(args, "seed", None) is None and os.environ.get(SEED_ENV_VAR):
         values["seed"] = os.environ[SEED_ENV_VAR]
     values.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
 

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from .diet import DietProfile
 from .errors import OutOfRange
 from .strategies import ChooserStrategy, CutterStrategy, FoodIndex
@@ -149,6 +147,8 @@ def simulate(
     n = int(n_rounds)
     if n != n_rounds or n < 1:
         raise OutOfRange(f"n_rounds must be a positive integer, got {n_rounds!r}")
+    import numpy as np  # here, not at module top: keeps numpy off the CLI's import path
+
     rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
     u = rng.random((n, 2))
 

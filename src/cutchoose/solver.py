@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diet import FAIR_SHARE
 from .errors import GridTooLarge, OutOfRange
 from .strategies import (
@@ -112,10 +110,11 @@ class SolutionFamily:
 
     def self_check(self) -> SelfCheck:
         """Evaluate the residual system at equispaced members across t_range."""
-        worst = max(
-            residual_system(self.cutter, TParams(t, t, t)).max_abs
-            for t in np.linspace(*self.t_range, _SELF_CHECK_SAMPLES)
-        )
+        lo, hi = self.t_range
+        step = (hi - lo) / (_SELF_CHECK_SAMPLES - 1)
+        # The samples of np.linspace(lo, hi, _SELF_CHECK_SAMPLES), bit for bit.
+        samples = [lo + i * step for i in range(_SELF_CHECK_SAMPLES - 1)] + [hi]
+        worst = max(residual_system(self.cutter, TParams(t, t, t)).max_abs for t in samples)
         return SelfCheck(_SELF_CHECK_SAMPLES, worst)
 
 
@@ -232,10 +231,6 @@ def _simplex_grid(n: int) -> list[CutterStrategy]:
     return points
 
 
-def _t_axis(m: int) -> np.ndarray:
-    return np.array([(2 * i - m) / m for i in range(m + 1)])
-
-
 def grid_search(config: GridSearchConfig) -> list[GridHit]:
     """Enumerate the simplex-cross-cube grid and return all near-fair points.
 
@@ -255,9 +250,11 @@ def grid_search(config: GridSearchConfig) -> list[GridHit]:
             f"grid has {total} points, exceeding the {_GRID_POINT_BUDGET} budget"
         )
 
+    import numpy as np  # here, not at module top: keeps numpy off the CLI's import path
+
     cutters = _simplex_grid(n)
     p = np.array([c.p for c in cutters])  # (S, 3)
-    axis = _t_axis(m)
+    axis = np.array([(2 * i - m) / m for i in range(m + 1)])
     a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
     tgrid = np.column_stack([a.ravel(), b.ravel(), c.ravel()])  # (M, 3) lexicographic
 

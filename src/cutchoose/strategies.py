@@ -41,8 +41,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     InvalidPermutation,
     NegativeProbability,
@@ -116,9 +114,6 @@ class CutterStrategy:
     @property
     def p(self) -> tuple[float, float, float]:
         return (self.p0, self.p1, self.p2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.p)
 
 
 def make_cutter(p0: float, p1: float, p2: float) -> CutterStrategy:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 
 import cutchoose as cc
 from cutchoose.cli import SEED_ENV_VAR, SWEEP_CSV_COLUMNS, RunConfig, main, run
@@ -39,6 +40,12 @@ class TestReportSchema:
         assert set(report["versions"]) == {"artifact", "generator"}
         assert report["versions"]["artifact"] == cc.__version__
         assert "PCG64" in report["versions"]["generator"]
+
+    def test_generator_names_numpy_version_in_fresh_process(self):
+        # numpy is not loaded here, so the version comes from package metadata;
+        # the golden reports substitute np.__version__ for it.
+        report = invoke_json("solve")
+        assert report["versions"]["generator"] == f"numpy.random.PCG64 (numpy {np.__version__})"
 
     def test_json_reparses_losslessly(self):
         proc = invoke("diet", "--cutter", "1/3,1/3,1/3", "--t", "0.5,0.5,0.5")
@@ -145,6 +152,11 @@ class TestSimulateCommand:
     def test_rounds_required(self):
         assert invoke(*self.ARGS[:-4]).returncode == 2
 
+    def test_env_seed_read_only_by_seeded_commands(self, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert main(["simulate", *self.ARGS[1:-4], "-n", "10"]) == 2
+        assert main(["diet", "--cutter", "1/3,1/3,1/3", "--t", "0,0,0"]) == 0
+
 
 class TestFeasibleCommand:
     def test_infeasible_answer_exits_zero(self):
@@ -207,6 +219,22 @@ class TestSweepCommand:
         assert invoke("sweep", "--t-range", "-1:1.5:0.5").returncode == 2
         # 100,001 rows: one over the row budget.
         assert invoke("sweep", "--t-range", "-1:1:0.00002").returncode == 2
+
+    def test_rows_counted_over_written_rationals(self, tmp_path, capsys):
+        def rows(*args):
+            assert main(["sweep", "--format", "json", *args]) == 0
+            return [row["t"] for row in json.loads(capsys.readouterr().out)["results"]["rows"]]
+
+        # hi just below a grid point: no row past hi (0.30000000000000004 was emitted).
+        assert rows("--t-range", "0:0.29999999995:0.1") == [0.0, 0.1, 0.2]
+        # float quotient 2.9999999999999996, exact quotient 3.
+        assert rows("--t-range", "0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert len(rows("--t-range", "0:3/10:1/10")) == 4
+        assert len(rows("--t-range", "-1:1:0.0001")) == 20_001
+        # JSON floats count as their shortest repr, not their binary value.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"t_range": [0, 0.3, 0.1]}))
+        assert len(rows("--config", str(path))) == 4
 
     def test_csv_only_for_sweep(self):
         proc = invoke("diet", "--cutter", "1/3,1/3,1/3", "--t", "0,0,0",
@@ -304,6 +332,15 @@ class TestConfigFile:
         path.write_text(json.dumps({"mystery": 1}))
         assert invoke("solve", "--config", str(path)).returncode == 2
 
+    def test_field_the_command_does_not_read_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        base = {"command": "diet", "cutter": "1/3,1/3,1/3", "t": "0,0,0", "format": "json"}
+        path.write_text(json.dumps(base))
+        assert main(["diet", "--config", str(path)]) == 0
+        path.write_text(json.dumps({**base, "n_rounds": 5}))
+        assert main(["diet", "--config", str(path)]) == 2
+        assert "unknown config fields for 'diet': ['n_rounds']" in capsys.readouterr().err
+
 
 class TestOutputHandling:
     def test_out_writes_file(self, tmp_path):
@@ -318,6 +355,14 @@ class TestOutputHandling:
 
     def test_unknown_command_exits_two(self):
         assert invoke("nonsense").returncode == 2
+
+
+class TestImportPath:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        code = "import sys, cutchoose, cutchoose.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestRunApi:

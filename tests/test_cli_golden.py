@@ -67,6 +67,20 @@ def test_golden_report(case, tmp_path, seed_env):
     assert observed == expected
 
 
+def test_reruns_are_byte_identical(tmp_path, seed_env):
+    # The parser is built once per process; a second run of each argv, also
+    # right after argparse has exited, must give the same bytes.
+    for case in CASES:
+        seed_env.delenv(cli.SEED_ENV_VAR, raising=False)
+        if "env_seed" in case:
+            seed_env.setenv(cli.SEED_ENV_VAR, case["env_seed"])
+        runs = []
+        for _ in range(2):
+            (tmp_path / "out.txt").unlink(missing_ok=True)
+            runs.append(replay(case, tmp_path))
+        assert runs[0] == runs[1], case["name"]
+
+
 def record() -> None:
     for case in CASES:
         os.environ.pop(cli.SEED_ENV_VAR, None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cutchoose as cc
+import cutchoose.solver as solver_module
 from cutchoose import GridTooLarge, OutOfRange
 from oracles import random_chooser, random_cutter, residuals_exact
 
@@ -79,6 +80,19 @@ class TestSolveJoint:
         for t in np.linspace(-1, 1, 21):
             r = cc.residual_system(family.cutter, cc.TParams(t, t, t))
             assert r.max_abs <= 1e-12
+
+    @pytest.mark.parametrize("t_range", [(-1.0, 1.0), (-0.3, 0.7), (-1 / 3, 2 / 3)])
+    def test_self_check_samples_are_linspace(self, t_range, monkeypatch):
+        family = cc.SolutionFamily(cc.solve_joint().cutter, t_range, "")
+        seen = []
+
+        def recording(cutter, t):
+            seen.append(t.t0)
+            return cc.residual_system(cutter, t)
+
+        monkeypatch.setattr(solver_module, "residual_system", recording)
+        assert family.self_check().n_samples == 21
+        assert [t.hex() for t in seen] == [t.hex() for t in np.linspace(*t_range, 21).tolist()]
 
     def test_member_at_zero_is_uniform_chooser(self):
         assert cc.solve_joint().member(0.0) == cc.make_chooser(0.5, 0.5, 0.5)
