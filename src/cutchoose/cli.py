@@ -54,6 +54,7 @@ SEED_ENV_VAR = "CUT_CHOOSE_SEED"
 
 _NEAR_UNIFORM_WARN = 1e-9
 _SWEEP_ROW_BUDGET = 10**5
+_SIMULATION_ROUND_BUDGET = 10**9
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -260,6 +261,9 @@ def _run_simulate(config: RunConfig) -> tuple[int, Any]:
     chooser = _build_chooser(config)
     if config.n_rounds is None:
         raise ConfigInvalid("command 'simulate' requires --rounds")
+    # simulate itself is unbounded (its memory is one block); a CLI run is not.
+    if config.n_rounds > _SIMULATION_ROUND_BUDGET:
+        raise ConfigInvalid(f"n_rounds exceeds the {_SIMULATION_ROUND_BUDGET}-round budget")
     result = simulate(cutter, chooser, config.n_rounds, config.seed)
     return EXIT_OK, {key: getattr(result, key) for key in _SIMULATE_KEYS}
 
@@ -282,7 +286,11 @@ def _sweep_values(config: RunConfig) -> list[float]:
     if rows > _SWEEP_ROW_BUDGET:
         raise ConfigInvalid(f"t range exceeds the {_SWEEP_ROW_BUDGET}-row budget")
     # With lo and hi in [-1, 1] the clamp only absorbs rounding past an end.
-    return [min(max(lo + i * step, -1.0), 1.0) for i in range(rows)]
+    values = [min(max(lo + i * step, -1.0), 1.0) for i in range(rows)]
+    # A step below the float spacing near lo would repeat t values.
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigInvalid(f"t range step {step} is too small to give distinct t values")
+    return values
 
 
 def _run_sweep(config: RunConfig) -> tuple[int, Any]:

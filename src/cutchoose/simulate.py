@@ -9,10 +9,16 @@ Each round consumes exactly two uniform variates, in a fixed order:
 
 The leftover food is the third index. Fixing the variate discipline makes a
 run a deterministic function of (strategies, n_rounds, seed): reruns are
-bit-identical, and the vectorized bulk runner reproduces sequential
-round-by-round play exactly. The generator is numpy's PCG64 with a 64-bit
-seed; its name travels with every result so serialized runs stay
-reproducible.
+bit-identical, and the bulk runner reproduces sequential round-by-round play
+exactly. The generator is numpy's PCG64 with a 64-bit seed; its name travels
+with every result so serialized runs stay reproducible.
+
+The bulk runner :func:`simulate` draws the variates in blocks of 65,536
+rounds, which consume the stream exactly as one draw of all rounds would. It
+codes each round as one of six cells, (rejected food, took the higher-indexed
+remaining food), and adds up one cell count per block; all three count
+triples follow from the six totals. Its memory is bounded by one block,
+whatever the number of rounds.
 
 Empirical frequencies converge to the closed-form diet profile; use
 :func:`check_convergence` to compare a run against the exact values with a
@@ -32,6 +38,11 @@ from .strategies import ChooserStrategy, CutterStrategy, FoodIndex
 GENERATOR_NAME = "numpy.random.PCG64"
 
 _SEED_MAX = 2**64 - 1
+
+# Rounds drawn per block by simulate. On a 2-core Xeon with numpy 2.4, blocks
+# of 16-64 K rounds ran fastest; at 1e7 rounds, blocks of 4 K and of 1 M
+# rounds took about 1.5 times as long.
+_BLOCK_ROUNDS = 1 << 16
 
 Counts = tuple[int, int, int]
 Triple = tuple[float, float, float]
@@ -140,9 +151,9 @@ def simulate(
 ) -> SimulationResult:
     """Run n_rounds of play from a fresh PCG64 generator seeded with ``seed``.
 
-    Vectorized, but consumes the variate stream exactly as sequential
-    :func:`play_round` calls would, so results match round-by-round play bit
-    for bit.
+    Streams blocks of rounds into a six-cell table, but consumes the variate
+    stream exactly as sequential :func:`play_round` calls would, so results
+    match round-by-round play bit for bit. Memory does not grow with n_rounds.
     """
     n = int(n_rounds)
     if n != n_rounds or n < 1:
@@ -150,29 +161,32 @@ def simulate(
     import numpy as np  # here, not at module top: keeps numpy off the CLI's import path
 
     rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
-    u = rng.random((n, 2))
-
     threshold1 = cutter.p0
     threshold2 = cutter.p0 + cutter.p1
-    rejected = (u[:, 0] >= threshold1).astype(np.int64) + (u[:, 0] >= threshold2)
+    low_conditional = np.array([getattr(chooser, attr) for _, _, attr in _CHOICE_BY_REJECTED])
 
-    low = np.array([1, 0, 0])
-    high = np.array([2, 2, 1])
-    low_conditional = np.array([chooser.c10, chooser.c01, chooser.c02])
-    take_low = u[:, 1] < low_conditional[rejected]
-    chosen = np.where(take_low, low[rejected], high[rejected])
-    leftover = 3 - rejected - chosen
+    # Cell 2*rejected + took_higher_food, one bincount per block.
+    cells = np.zeros(6, dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROUNDS):
+        u = rng.random((min(_BLOCK_ROUNDS, n - start), 2))
+        rejected = (u[:, 0] >= threshold1).astype(np.int64) + (u[:, 0] >= threshold2)
+        took_higher_food = u[:, 1] >= low_conditional[rejected]
+        cells += np.bincount(2 * rejected + took_higher_food, minlength=6)
 
-    counts_rejected = np.bincount(rejected, minlength=3)
-    counts_omega = np.bincount(chosen, minlength=3)
-    counts_lambda = np.bincount(leftover, minlength=3)
+    counts_rejected, counts_omega, counts_lambda = [0, 0, 0], [0, 0, 0], [0, 0, 0]
+    for cell, count in enumerate(cells.tolist()):
+        rejected, took_higher_food = divmod(cell, 2)
+        chosen = _CHOICE_BY_REJECTED[rejected][took_higher_food]
+        counts_rejected[rejected] += count
+        counts_omega[chosen] += count
+        counts_lambda[3 - rejected - chosen] += count
     return SimulationResult(
         n_rounds=n,
-        counts_lambda=tuple(int(x) for x in counts_lambda),
-        counts_omega=tuple(int(x) for x in counts_omega),
-        counts_rejected=tuple(int(x) for x in counts_rejected),
-        empirical_lambda=tuple(int(x) / n for x in counts_lambda),
-        empirical_omega=tuple(int(x) / n for x in counts_omega),
+        counts_lambda=tuple(counts_lambda),
+        counts_omega=tuple(counts_omega),
+        counts_rejected=tuple(counts_rejected),
+        empirical_lambda=tuple(x / n for x in counts_lambda),
+        empirical_omega=tuple(x / n for x in counts_omega),
         seed=_check_seed(seed),
     )
 

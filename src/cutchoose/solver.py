@@ -28,6 +28,7 @@ certificate reported below is the minimal achievable fairness max-residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .diet import FAIR_SHARE
@@ -205,11 +206,18 @@ class GridSearchConfig:
 
     @property
     def simplex_divisions(self) -> int:
-        return max(1, round(1.0 / self.simplex_step))
+        return _divisions(1.0, self.simplex_step, "simplex_step")
 
     @property
     def t_divisions(self) -> int:
-        return max(1, round(2.0 / self.t_step))
+        return _divisions(2.0, self.t_step, "t_step")
+
+
+def _divisions(span: float, step: float, name: str) -> int:
+    divisions = span / step
+    if not math.isfinite(divisions):  # a subnormal step: no integer count of divisions
+        raise GridTooLarge(f"{name} {step!r} is too small: {span:g}/{name} overflows")
+    return max(1, round(divisions))
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,40 @@ def diet_exact(cutter, chooser):
     return tuple(lam), tuple(omega)
 
 
+def simulate_one_draw(cutter, chooser, n_rounds, seed):
+    """``simulate`` as one draw of all n_rounds x 2 variates, round arrays and all.
+
+    The reference for the library's blocked six-cell count: it keeps every
+    round's rejected, chosen and leftover food and counts each role directly.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.random((n_rounds, 2))
+
+    threshold1 = cutter.p0
+    threshold2 = cutter.p0 + cutter.p1
+    rejected = (u[:, 0] >= threshold1).astype(np.int64) + (u[:, 0] >= threshold2)
+
+    low = np.array([1, 0, 0])
+    high = np.array([2, 2, 1])
+    low_conditional = np.array([chooser.c10, chooser.c01, chooser.c02])
+    take_low = u[:, 1] < low_conditional[rejected]
+    chosen = np.where(take_low, low[rejected], high[rejected])
+    leftover = 3 - rejected - chosen
+
+    counts_rejected = np.bincount(rejected, minlength=3)
+    counts_omega = np.bincount(chosen, minlength=3)
+    counts_lambda = np.bincount(leftover, minlength=3)
+    return cc.SimulationResult(
+        n_rounds=n_rounds,
+        counts_lambda=tuple(int(x) for x in counts_lambda),
+        counts_omega=tuple(int(x) for x in counts_omega),
+        counts_rejected=tuple(int(x) for x in counts_rejected),
+        empirical_lambda=tuple(int(x) / n_rounds for x in counts_lambda),
+        empirical_omega=tuple(int(x) / n_rounds for x in counts_omega),
+        seed=seed,
+    )
+
+
 def random_cutter(rng: np.random.Generator) -> cc.CutterStrategy:
     raw = rng.exponential(size=3)
     p = raw / raw.sum()

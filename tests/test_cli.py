@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 import cutchoose as cc
+from cutchoose import cli
 from cutchoose.cli import SEED_ENV_VAR, SWEEP_CSV_COLUMNS, RunConfig, main, run
 
 THIRD = 1.0 / 3.0
@@ -157,6 +158,21 @@ class TestSimulateCommand:
         assert main(["simulate", *self.ARGS[1:-4], "-n", "10"]) == 2
         assert main(["diet", "--cutter", "1/3,1/3,1/3", "--t", "0,0,0"]) == 0
 
+    def test_huge_round_count_exits_2_before_drawing(self):
+        # Used to fail in numpy's allocator with a traceback and exit 1.
+        proc = invoke(*self.ARGS[:-4], "-n", "99999999999999")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "1000000000-round budget" in proc.stderr
+
+    def test_round_budget_boundary(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_SIMULATION_ROUND_BUDGET", 1000)
+        assert main([*self.ARGS[:-4], "-n", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["n_rounds"] == 1000
+        assert main([*self.ARGS[:-4], "-n", "1001"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestFeasibleCommand:
     def test_infeasible_answer_exits_zero(self):
@@ -220,6 +236,13 @@ class TestSweepCommand:
         # 100,001 rows: one over the row budget.
         assert invoke("sweep", "--t-range", "-1:1:0.00002").returncode == 2
 
+    def test_step_below_float_spacing_rejected(self, capsys):
+        # 10,001 rows but only 902 distinct t values used to exit 0.
+        assert main(["sweep", "--t-range", "0.5:0.5000000000001:1e-17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too small to give distinct t values" in captured.err
+
     def test_rows_counted_over_written_rationals(self, tmp_path, capsys):
         def rows(*args):
             assert main(["sweep", "--format", "json", *args]) == 0
@@ -243,6 +266,14 @@ class TestSweepCommand:
 
 
 class TestVerifyUniquenessCommand:
+    def test_subnormal_steps_exit_2(self, capsys):
+        # round(1/step) used to overflow into an OverflowError traceback.
+        for flag in ("--simplex-step", "--t-step"):
+            assert main(["verify-uniqueness", flag, "5e-324"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "too small" in captured.err
+
     def test_pass_exits_zero(self):
         proc = invoke(
             "verify-uniqueness", "--simplex-step", "1/6", "--t-step", "0.5",

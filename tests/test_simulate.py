@@ -1,13 +1,15 @@
 """Round mechanics, reproducibility, and convergence to the exact diet."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cutchoose as cc
 from cutchoose import OutOfRange
-from oracles import random_chooser, random_cutter
+from cutchoose.simulate import _BLOCK_ROUNDS
+from oracles import random_chooser, random_cutter, simulate_one_draw
 
 THIRD = 1.0 / 3.0
 
@@ -97,7 +99,7 @@ class TestSimulate:
         assert a != cc.simulate(cut, ch, 10_000, seed=43)
 
     def test_matches_sequential_play(self, rng):
-        """The vectorized run consumes the variate stream exactly like play_round."""
+        """The bulk run consumes the variate stream exactly like play_round."""
         for _ in range(5):
             cut, ch = random_cutter(rng), random_chooser(rng)
             seed = int(rng.integers(0, 2**63))
@@ -112,6 +114,34 @@ class TestSimulate:
             assert result.counts_rejected == tuple(counts["rejected"])
             assert result.counts_omega == tuple(counts["chosen"])
             assert result.counts_lambda == tuple(counts["leftover"])
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, _BLOCK_ROUNDS - 1, _BLOCK_ROUNDS, _BLOCK_ROUNDS + 1, 3 * _BLOCK_ROUNDS + 1],
+    )
+    def test_blocks_match_one_draw(self, rng, n):
+        """Block boundaries change nothing: equal to one draw of all n rounds."""
+        pairs = [(random_cutter(rng), random_chooser(rng)) for _ in range(3)]
+        pairs += [
+            (cut, ch)
+            for cut in (cc.make_cutter(1, 0, 0), cc.make_cutter(0, 0, 1), uniform_cutter())
+            for ch in (cc.make_chooser(0, 0, 0), cc.make_chooser(1, 1, 1))
+        ]
+        for cut, ch in pairs:
+            seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+            assert cc.simulate(cut, ch, n, seed) == simulate_one_draw(cut, ch, n, seed)
+
+    def test_memory_bounded_by_one_block(self):
+        # One draw of 2**22 rounds would need 64 MiB for its variates alone.
+        cut, ch = cc.make_cutter(0.6, 0.25, 0.15), cc.make_chooser(0.1, 0.2, 0.85)
+        cc.simulate(cut, ch, 10, seed=0)  # import numpy outside the traced region
+        tracemalloc.start()
+        try:
+            cc.simulate(cut, ch, 1 << 22, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_role_identity_per_food(self, rng):
         cut, ch = random_cutter(rng), random_chooser(rng)

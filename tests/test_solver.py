@@ -217,6 +217,16 @@ class TestGridSearch:
                 cc.GridSearchConfig(simplex_step=1e-3, t_step=1e-3, residual_tol=0.0)
             )
 
+    def test_subnormal_steps_are_too_large(self):
+        # 1/step and 2/step overflow to inf: no finite number of divisions.
+        for config in (
+            cc.GridSearchConfig(simplex_step=5e-324, t_step=0.5, residual_tol=0.0),
+            cc.GridSearchConfig(simplex_step=0.5, t_step=5e-324, residual_tol=0.0),
+            cc.GridSearchConfig(simplex_step=0.5, t_step=1e-308, residual_tol=0.0),
+        ):
+            with pytest.raises(GridTooLarge):
+                cc.grid_search(config)
+
     def test_config_validation(self):
         with pytest.raises(OutOfRange):
             cc.GridSearchConfig(simplex_step=0.0, t_step=0.5, residual_tol=1e-9)
