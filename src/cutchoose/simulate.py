@@ -28,6 +28,7 @@ binomial z-bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -54,11 +55,15 @@ class UniformSource(Protocol):
     def random(self) -> float: ...
 
 
-def _check_seed(seed: int) -> int:
-    s = int(seed)
-    if s != seed or not (0 <= s <= _SEED_MAX):
-        raise OutOfRange(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return s
+def _checked_int(value: int, lo: int, hi: float, what: str) -> int:
+    """``value`` as an int in [lo, hi]: numpy integers pass, bools and floats do not."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not lo <= number <= hi:
+        raise OutOfRange(f"{what}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -155,12 +160,11 @@ def simulate(
     stream exactly as sequential :func:`play_round` calls would, so results
     match round-by-round play bit for bit. Memory does not grow with n_rounds.
     """
-    n = int(n_rounds)
-    if n != n_rounds or n < 1:
-        raise OutOfRange(f"n_rounds must be a positive integer, got {n_rounds!r}")
+    n = _checked_int(n_rounds, 1, math.inf, "n_rounds must be a positive integer")
+    seed = _checked_int(seed, 0, _SEED_MAX, "seed must be an unsigned 64-bit integer")
     import numpy as np  # here, not at module top: keeps numpy off the CLI's import path
 
-    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     threshold1 = cutter.p0
     threshold2 = cutter.p0 + cutter.p1
     low_conditional = np.array([getattr(chooser, attr) for _, _, attr in _CHOICE_BY_REJECTED])
@@ -187,7 +191,7 @@ def simulate(
         counts_rejected=tuple(counts_rejected),
         empirical_lambda=tuple(x / n for x in counts_lambda),
         empirical_omega=tuple(x / n for x in counts_omega),
-        seed=_check_seed(seed),
+        seed=seed,
     )
 
 

@@ -2,28 +2,34 @@
 
 Writing the chooser in t coordinates turns the two fairness conditions
 (cutter's diet all 1/3, chooser's diet all 1/3) into two linear systems.
-With u_k = t_k * p_k, the residuals of the cutter-side system are
+With u_k = t_k * p_k, v = (u2 - u1, u0 - u2, u1 - u0) and the pair gaps
+g_k = 2/3 - (p_m + p_n) (food k left out of the sum), the residuals are
 
-    r_lam[0] = (-u1 + u2) - (2/3 - (p1 + p2))
-    r_lam[1] = (-u2 + u0) - (2/3 - (p0 + p2))
-    r_lam[2] = (-u0 + u1) - (2/3 - (p0 + p1))
+    r_lam[k] = v_k - g_k        r_om[k] = -v_k - g_k
 
-and the chooser-side residuals r_om[k] negate the u part while keeping the
-same right-hand side. Adding the matched equations eliminates every t and
-forces each pairwise sum p_m + p_n to equal 2/3, i.e. the cutter must be
-uniform. Subtracting them gives u_0 = u_1 = u_2, which at the uniform cutter
-means equal t's. (The equal-u condition is kept in the multiplied-out linear
-form t_m*p_m - t_n*p_n = 0, which stays valid at t = 0 where the ratio form
-would divide by zero.) Hence the only exactly fair strategies are the uniform
+Adding the matched equations eliminates every t and forces each pairwise
+sum p_m + p_n to equal 2/3, i.e. the cutter must be uniform. Subtracting
+them gives u_0 = u_1 = u_2, which at the uniform cutter means equal t's.
+(The equal-u condition is kept in the multiplied-out linear form
+t_m*p_m - t_n*p_n = 0, which stays valid at t = 0 where the ratio form would
+divide by zero.) Hence the only exactly fair strategies are the uniform
 cutter together with the one-parameter symmetric chooser family, and that
 claim is independently checkable by brute force over a barycentric simplex
 grid crossed with a t-cube grid.
 
 For a non-uniform cutter the matched sums certify infeasibility: for each
-food k, r_lam[k] + r_om[k] = 2*((p_m + p_n) - 2/3) no matter what the chooser
-does, so some diet share must miss 1/3 by at least half the worst pairwise-
-sum deviation. That bound is attained (e.g. by the t = 0 chooser), so the
-certificate reported below is the minimal achievable fairness max-residual.
+food k, r_lam[k] + r_om[k] = -2*g_k no matter what the chooser does, so some
+diet share must miss 1/3 by at least half the largest |g_k|. That bound is
+attained (e.g. by the t = 0 chooser), so the certificate reported below is
+the minimal achievable fairness max-residual; max_k |g_k| is twice it.
+
+The grid oracle scores food k by max(|v_k - g_k|, |v_k + g_k|) = |v_k| + |g_k|.
+The identity holds bit for bit in floats: rounding to nearest is symmetric
+(fl(-x) = -fl(x)) and monotone, so the larger rounded magnitude is the rounded
+|v_k| + |g_k|, the value residual_system's max_abs reports. Monotone rounding
+also keeps that sum at least |g_k|, so a cutter whose largest |g_k| exceeds
+the tolerance has no hit at any t. (grid_search still scores such cutters
+at every t; skipping them would give the same hits.)
 """
 
 from __future__ import annotations
@@ -60,6 +66,11 @@ class ResidualVector:
         return max(abs(r) for r in self.lambda_system + self.omega_system)
 
 
+def _pair_gaps(p0, p1, p2):
+    """g_k = 2/3 - (p_m + p_n), food k left out; floats or numpy columns alike."""
+    return TWO_THIRDS - (p1 + p2), TWO_THIRDS - (p0 + p2), TWO_THIRDS - (p0 + p1)
+
+
 def residual_system(cutter: CutterStrategy, t: TParams) -> ResidualVector:
     """Evaluate all six fairness residuals at a cutter/t-parameter pair.
 
@@ -70,9 +81,7 @@ def residual_system(cutter: CutterStrategy, t: TParams) -> ResidualVector:
     u0 = t.t0 * p0
     u1 = t.t1 * p1
     u2 = t.t2 * p2
-    rhs0 = TWO_THIRDS - (p1 + p2)
-    rhs1 = TWO_THIRDS - (p0 + p2)
-    rhs2 = TWO_THIRDS - (p0 + p1)
+    rhs0, rhs1, rhs2 = _pair_gaps(p0, p1, p2)
     lam = (
         (-u1 + u2) - rhs0,
         (-u2 + u0) - rhs1,
@@ -246,7 +255,8 @@ def grid_search(config: GridSearchConfig) -> list[GridHit]:
     simplex, 2/round(2/t_step) per t axis) so both endpoints always land on
     the grid. Hits are sorted by ascending residual, ties broken by
     lexicographic grid coordinates, so the output is independent of
-    evaluation order.
+    evaluation order. Each point is scored by max_k (|v_k| + |g_k|), bit for
+    bit residual_system's max_abs (module docstring).
     """
     n = config.simplex_divisions
     m = config.t_divisions
@@ -262,6 +272,7 @@ def grid_search(config: GridSearchConfig) -> list[GridHit]:
 
     cutters = _simplex_grid(n)
     p = np.array([c.p for c in cutters])  # (S, 3)
+    gap = np.abs(np.column_stack(_pair_gaps(p[:, 0], p[:, 1], p[:, 2])))  # (S, 3)
     axis = np.array([(2 * i - m) / m for i in range(m + 1)])
     a, b, c = np.meshgrid(axis, axis, axis, indexing="ij")
     tgrid = np.column_stack([a.ravel(), b.ravel(), c.ravel()])  # (M, 3) lexicographic
@@ -272,37 +283,21 @@ def grid_search(config: GridSearchConfig) -> list[GridHit]:
     s_chunk = max(1, block // t_chunk)
     for s_start in range(0, len(cutters), s_chunk):
         pc = p[s_start : s_start + s_chunk]
-        rhs = TWO_THIRDS - np.stack(
-            [pc[:, 1] + pc[:, 2], pc[:, 0] + pc[:, 2], pc[:, 0] + pc[:, 1]], axis=1
-        )
+        gc = gap[s_start : s_start + s_chunk]
         for t_start in range(0, len(tgrid), t_chunk):
             tc = tgrid[t_start : t_start + t_chunk]
-            # Mirrors residual_system expression-for-expression.
             u = tc[None, :, :] * pc[:, None, :]
             v = np.stack(
-                [
-                    -u[:, :, 1] + u[:, :, 2],
-                    -u[:, :, 2] + u[:, :, 0],
-                    -u[:, :, 0] + u[:, :, 1],
-                ],
+                [u[:, :, 2] - u[:, :, 1], u[:, :, 0] - u[:, :, 2], u[:, :, 1] - u[:, :, 0]],
                 axis=2,
             )
-            r_lam = v - rhs[:, None, :]
-            r_om = -v - rhs[:, None, :]
-            max_abs = np.maximum(
-                np.abs(r_lam).max(axis=2), np.abs(r_om).max(axis=2)
-            )  # (s_chunk, t_chunk)
-            si, ti = np.nonzero(max_abs <= config.residual_tol)
-            for s, tt in zip(si.tolist(), ti.tolist()):
-                hits.append((float(max_abs[s, tt]), s_start + s, t_start + tt))
+            score = (np.abs(v) + gc[:, None, :]).max(axis=2)  # (s_chunk, t_chunk)
+            si, ti = np.nonzero(score <= config.residual_tol)
+            hits.extend(zip(score[si, ti].tolist(), (s_start + si).tolist(), (t_start + ti).tolist()))
 
-    hits.sort(key=lambda h: (h[0], h[1], h[2]))
+    hits.sort()  # (residual, cutter, t): independent of evaluation order
     return [
-        GridHit(
-            cutter=cutters[s],
-            t_params=TParams(*(float(x) for x in tgrid[tt])),
-            max_abs_residual=r,
-        )
+        GridHit(cutter=cutters[s], t_params=TParams(*tgrid[tt].tolist()), max_abs_residual=r)
         for r, s, tt in hits
     ]
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 import cutchoose as cc
+from cutchoose.solver import _simplex_grid
 
 PAIRS = ((0, 1), (1, 2), (0, 2))
 ABSENT_FOR_PAIR = {(0, 1): 2, (1, 2): 0, (0, 2): 1}
@@ -97,6 +98,29 @@ def residuals_exact(cutter, t_params):
         u[0] - u[1] - rhs[2],
     )
     return lam, omega
+
+
+def grid_search_per_point(config):
+    """``grid_search`` one point at a time, without the numpy kernel.
+
+    Every point of ``_simplex_grid(n)`` x the t cube is a hit when
+    ``residual_system(...).max_abs <= residual_tol``; hits are sorted by
+    (residual, cutter index, t index). Unlike the rest of this module it reuses
+    ``residual_system`` on purpose: that function defines the float verdict of
+    each point, which the kernel must reproduce bit for bit, so an independent
+    formula would judge float rounding rather than the kernel.
+    """
+    n, m = config.simplex_divisions, config.t_divisions
+    axis = [(2 * i - m) / m for i in range(m + 1)]
+    cube = [cc.TParams(*t) for t in itertools.product(axis, repeat=3)]  # lexicographic
+    hits = []
+    for s, cutter in enumerate(_simplex_grid(n)):
+        for tt, t in enumerate(cube):
+            r = cc.residual_system(cutter, t).max_abs
+            if r <= config.residual_tol:
+                hits.append((r, s, tt, cc.GridHit(cutter, t, r)))
+    hits.sort(key=lambda h: h[:3])
+    return [hit for *_, hit in hits]
 
 
 def diet_exact(cutter, chooser):

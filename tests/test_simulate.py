@@ -175,6 +175,23 @@ class TestSimulate:
         with pytest.raises(OutOfRange):
             cc.simulate(cut, ch, 10, seed=2**64)
 
+    @pytest.mark.parametrize(
+        "n_rounds, seed",
+        [(True, 1), (10.0, 3), (10, True), (10, 3.0), (np.bool_(True), 1), (10, np.float64(3.0))],
+    )
+    def test_bool_and_float_counts_rejected(self, n_rounds, seed):
+        with pytest.raises(OutOfRange):
+            cc.simulate(uniform_cutter(), cc.symmetric_chooser(0.3), n_rounds, seed)
+
+    def test_numpy_integers_accepted(self):
+        cut, ch = uniform_cutter(), cc.symmetric_chooser(0.3)
+        want = cc.simulate(cut, ch, 1000, seed=7)
+        for n_rounds, seed in ((np.int64(1000), np.uint64(7)), (np.int32(1000), np.int64(7))):
+            got = cc.simulate(cut, ch, n_rounds, seed)
+            assert got == want
+            assert type(got.n_rounds) is int and type(got.seed) is int
+        assert cc.simulate(cut, ch, 10, np.uint64(2**64 - 1)).seed == 2**64 - 1
+
 
 class TestCheckConvergence:
     def test_deterministic_run_has_zero_deviation(self):

@@ -1,5 +1,6 @@
 """Residual system, closed-form family, feasibility certificates, grid oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +9,18 @@ import pytest
 import cutchoose as cc
 import cutchoose.solver as solver_module
 from cutchoose import GridTooLarge, OutOfRange
-from oracles import random_chooser, random_cutter, residuals_exact
+from oracles import grid_search_per_point, random_chooser, random_cutter, residuals_exact
 
 THIRD = 1.0 / 3.0
 
 
 def uniform_cutter():
     return cc.make_cutter(1 / 3, 1 / 3, 1 / 3)
+
+
+def grid(n, m, tol):
+    """The config with n simplex divisions and m divisions per t axis."""
+    return cc.GridSearchConfig(simplex_step=1 / n, t_step=2 / m, residual_tol=tol)
 
 
 class TestResidualSystem:
@@ -234,6 +240,67 @@ class TestGridSearch:
             cc.GridSearchConfig(simplex_step=0.5, t_step=2.0, residual_tol=1e-9)
         with pytest.raises(OutOfRange):
             cc.GridSearchConfig(simplex_step=0.5, t_step=0.5, residual_tol=-1.0)
+
+
+class TestGridSearchMatchesPerPoint:
+    """The numpy kernel against every point's residual_system, compared with ==."""
+
+    def test_random_small_grids_at_zero_tol(self, rng):
+        for _ in range(20):
+            config = grid(int(rng.integers(1, 10)), int(rng.integers(2, 7)), 0.0)
+            assert cc.grid_search(config) == grid_search_per_point(config)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_tolerance_at_each_exact_gap_and_one_ulp_either_side(self, n):
+        # m even puts t = 0 on the grid, where a cutter scores exactly its largest |g_k|.
+        cutters = solver_module._simplex_grid(n)
+        gaps = {abs(g) for c in cutters for g in solver_module._pair_gaps(*c.p)}
+        largest = {max(abs(g) for g in solver_module._pair_gaps(*c.p)) for c in cutters}
+        for gap in sorted(gaps):
+            for tol in (math.nextafter(gap, -1.0), gap, math.nextafter(gap, 2.0)):
+                if tol < 0.0:
+                    continue
+                config = grid(n, 2, tol)
+                hits = cc.grid_search(config)
+                assert hits == grid_search_per_point(config), (n, tol)
+                if tol == gap and gap in largest:
+                    assert any(h.max_abs_residual == tol for h in hits), (n, tol)
+
+    @pytest.mark.parametrize("tol, every_point", [(4 / 3, False), (10.0, True), (math.inf, True)])
+    def test_loose_tolerances(self, tol, every_point):
+        # Every |g_k| is at most 2/3, so every cutter has points below these.
+        for n, m in ((3, 2), (4, 4), (5, 3)):
+            config = grid(n, m, tol)
+            hits = cc.grid_search(config)
+            assert hits == grid_search_per_point(config)
+            if every_point:
+                assert len(hits) == (n + 1) * (n + 2) // 2 * (m + 1) ** 3
+
+    @pytest.mark.parametrize(
+        "n, m, tol, n_hits",
+        [(6, 4, 0.5, 739), (12, 6, 0.25, 637), (6, 4, float(1 / 3), 166), (12, 6, float(1 / 6), 110)],
+    )
+    def test_boundary_rows(self, n, m, tol, n_hits):
+        """The float-hit counts of the grid-verdict table in ROADMAP.md."""
+        hits = cc.grid_search(grid(n, m, tol))
+        assert len(hits) == n_hits
+        assert hits == grid_search_per_point(grid(n, m, tol))
+
+
+class TestPaperHeadline:
+    """Every fair grid point has an intransitive chooser, never a strict order."""
+
+    @pytest.mark.parametrize("n, m", [(24, 20), (24, 40), (27, 37), (18, 48)])
+    def test_every_hit_is_cyclic_or_indifferent(self, n, m):
+        hits = cc.grid_search(grid(n, m, 1e-9))
+        assert hits
+        for hit in hits:
+            _, klass = cc.classify_preferences(cc.from_t_params(hit.t_params))
+            assert klass.kind in (
+                cc.PreferenceKind.INTRANSITIVE_CYCLE_CONDITION_1,
+                cc.PreferenceKind.INTRANSITIVE_CYCLE_CONDITION_2,
+                cc.PreferenceKind.INTRANSITIVE_INDIFFERENCE,
+            ), hit
 
 
 class TestVerifyUniqueness:
